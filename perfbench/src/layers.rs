@@ -6,14 +6,15 @@
 //! seed, so each traced run reports every per-layer metric: layers its
 //! workload already crossed come from the workload's own halves, the
 //! others from a short probe of the path that crosses them (one group
-//! round, one second of pipelining, one simulator pass). Small
+//! round, one second of pipelining). The simulator layers, which no
+//! workload crosses, come from one pass over the paper grids. Small
 //! operations are timed in batches through the public functions of
 //! `core`, `proxy` and `net`, each row with its quartile spread.
 
 use crate::group::{self, fold_spans, take_events, DaemonEvents, Replay, SpanTimes, Totals};
 use crate::measure::{mix64, spread, time_batches, Segments, ThreadPeak};
 use crate::pipelined::{Pipe, PipeStats, SEGMENT_S};
-use crate::sweep::{self, Facts, SweepStats};
+use crate::sweep::{self, Facts};
 use crate::Report;
 use coopcache_core::{CacheConfig, PlacementScheme, PolicyKind};
 use coopcache_net::WireMessage;
@@ -21,6 +22,7 @@ use coopcache_obs::TraceCtx;
 use coopcache_proxy::{ConcurrentNode, HttpRequest, HttpResponse, IcpQuery, IcpReply};
 use coopcache_trace::Trace;
 use coopcache_types::{ByteSize, CacheId, DocId, DurationMs, ExpirationAge, Timestamp};
+use std::collections::HashSet;
 use std::hint::black_box;
 use std::io;
 use std::sync::{Arc, Mutex};
@@ -28,7 +30,7 @@ use std::time::Instant;
 
 /// Batches per micro row: the row reports their median and quartiles.
 const BATCHES: usize = 15;
-/// Operations per batch for lookups, queries and codec calls.
+/// Operations per batch for codec calls.
 const OPS: usize = 1 << 16;
 /// Operations per batch for inserts, which each evict.
 const INSERTS: usize = 1 << 14;
@@ -48,7 +50,6 @@ struct GroupLayer {
 pub struct Layers {
     group: Option<GroupLayer>,
     pipe: Option<PipeStats>,
-    sim: Option<SweepStats>,
     bench_spans: u64,
 }
 
@@ -113,30 +114,6 @@ impl Layers {
         self.pipe = Some(untraced);
     }
 
-    /// `paper-sweep` traced run: untraced and traced passes alternate.
-    pub fn sweep_phases(
-        &mut self,
-        trace: &Trace,
-        facts: &Facts,
-        seconds: f64,
-        report: &mut Report,
-    ) {
-        let (mut untraced, mut traced) = (SweepStats::default(), SweepStats::default());
-        let started = Instant::now();
-        while started.elapsed().as_secs_f64() < seconds || traced.cells == 0 {
-            sweep::pass(trace, facts, false, &mut untraced, &mut report.problems);
-            sweep::pass(trace, facts, true, &mut traced, &mut report.problems);
-        }
-        report.metric(
-            "trace.overhead_pct",
-            overhead_pct(&untraced.segments, &traced.segments),
-            "%",
-        );
-        self.bench_spans += traced.bench_spans;
-        report.attempted += untraced.cells + traced.cells;
-        self.sim = Some(untraced);
-    }
-
     /// Probes the paths the workload did not cross, then reports every
     /// per-layer metric.
     pub fn complete(
@@ -161,21 +138,8 @@ impl Layers {
                 stats
             }
         };
-        let sim = match self.sim.take() {
-            Some(s) => s,
-            None => {
-                let mut stats = SweepStats::default();
-                sweep::pass(
-                    trace,
-                    &Facts::new(trace),
-                    false,
-                    &mut stats,
-                    &mut report.problems,
-                );
-                report.attempted += stats.cells;
-                stats
-            }
-        };
+        let sim = sweep::pass(trace, &Facts::new(trace), &mut report.problems);
+        report.attempted += sim.cells;
 
         let us = |ns: f64| ns / 1e3;
         let g = &group.untraced;
@@ -260,9 +224,8 @@ impl Layers {
         report.metric("pipe.p99_us", us(pipe.latency.percentile(99.0)), "us");
         report.metric("pipe.req_per_s", pipe.segments.rate(), "1/s");
 
-        let ms = |v: &[f64]| spread(v).median * 1e3;
-        report.metric("sim.sync_pass_ms", ms(&sim.sync_pass_s), "ms");
-        report.metric("sim.des_pass_ms", ms(&sim.des_pass_s), "ms");
+        report.metric("sim.sync_pass_ms", sim.sync_s * 1e3, "ms");
+        report.metric("sim.des_pass_ms", sim.des_s * 1e3, "ms");
         report.metric(
             "sim.des_ns_per_request",
             1e9 * sim.des_s / sim.des_requests as f64,
@@ -280,9 +243,12 @@ impl Layers {
         );
 
         let docs: Vec<u64> = trace.requests().iter().map(|r| r.doc.as_u64()).collect();
+        let mut touched = Vec::new();
         for (entries, label) in [(100_000u64, "100k"), (1_000_000, "1m")] {
-            core_rows(&docs, seed, entries, label, report);
+            let keys = core_rows(&docs, seed, entries, label, report);
+            touched.push(format!("{label}: {keys} of {entries}"));
         }
+        report.health("core_entries_looked_up", touched.join(", "));
         node_rows(&docs, seed, report);
         wire_rows(trace, report);
         Ok(())
@@ -357,18 +323,31 @@ fn resident(seed: u64, i: u64) -> DocId {
 }
 
 /// The trace's document stream mapped onto the ids `resident(seed, i)`
-/// for `i < n`, so lookups repeat with the trace's popularity skew.
+/// for `i < n`, spread over all of them: the `i` range is cut into one
+/// band per distinct document, in hashed order, and each reference picks
+/// an id of its document's band at random. References keep the trace's
+/// popularity skew over bands, and the ids they reach lie across the
+/// whole resident set, not on one id per document.
 fn mapped_stream(docs: &[u64], seed: u64, n: u64) -> Vec<DocId> {
+    let mut bands: Vec<u64> = docs.iter().map(|&d| mix64(d)).collect();
+    bands.sort_unstable();
+    bands.dedup();
+    let count = bands.len() as u64;
     docs.iter()
-        .take(OPS)
-        .map(|&d| resident(seed, mix64(d) % n))
+        .enumerate()
+        .map(|(j, &d)| {
+            let band = bands.binary_search(&mix64(d)).unwrap_or(0) as u64;
+            let (lo, hi) = (band * n / count, (band + 1) * n / count);
+            resident(seed, lo + mix64(seed ^ j as u64) % (hi - lo).max(1))
+        })
         .collect()
 }
 
 /// `Cache` beside `ConcurrentCache`, used from one thread, at `entries`
 /// one-kilobyte entries: lookups on the trace's stream, and inserts of
-/// new documents into the full cache (each evicts one).
-fn core_rows(docs: &[u64], seed: u64, entries: u64, label: &str, report: &mut Report) {
+/// new documents into the full cache (each evicts one). Returns how many
+/// distinct entries the lookups reach.
+fn core_rows(docs: &[u64], seed: u64, entries: u64, label: &str, report: &mut Report) -> usize {
     let config = || CacheConfig::new(CacheId::new(0), ByteSize::from_kb(entries), PolicyKind::Lru);
     let one_kb = ByteSize::from_kb(1);
     let keys = mapped_stream(docs, seed, entries);
@@ -426,6 +405,7 @@ fn core_rows(docs: &[u64], seed: u64, entries: u64, label: &str, report: &mut Re
         &format!("core.concurrent_lookup_ns.{label}"),
         &concurrent_lookups,
     );
+    keys.iter().collect::<HashSet<_>>().len()
 }
 
 /// The `ConcurrentNode` handlers a daemon calls, timed directly.

@@ -1,9 +1,9 @@
-//! coopcache benchmark: end-to-end and per-layer numbers for the three
-//! execution paths of the workspace, measured from outside through the
-//! crates' public functions.
+//! coopcache benchmark: end-to-end and per-layer numbers for the live
+//! cooperative group and the pipelined local path, measured from outside
+//! through the crates' public functions.
 //!
 //! ```text
-//! perfbench --workload <group-live|local-pipelined|paper-sweep>
+//! perfbench --workload <group-live|local-pipelined>
 //!           --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
@@ -25,17 +25,16 @@ use std::io;
 use std::process::{Command, ExitCode};
 use std::time::Instant;
 
-const USAGE: &str = "usage: perfbench --workload <group-live|local-pipelined|paper-sweep> \
+const USAGE: &str = "usage: perfbench --workload <group-live|local-pipelined> \
                      --seed <n> --seconds <s> --trace <0|1>";
 
 /// Set-ups per run: `setup_s` is the median of these.
-const SETUPS: usize = 5;
+const SETUPS: usize = 9;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Workload {
     GroupLive,
     LocalPipelined,
-    PaperSweep,
 }
 
 struct Args {
@@ -56,7 +55,6 @@ fn parse_args() -> Result<Args, String> {
                 workload = Some(match value.as_str() {
                     "group-live" => Workload::GroupLive,
                     "local-pipelined" => Workload::LocalPipelined,
-                    "paper-sweep" => Workload::PaperSweep,
                     other => return Err(format!("unknown workload {other:?}")),
                 });
             }
@@ -235,30 +233,6 @@ fn run(args: &Args) -> io::Result<Report> {
             }
             (trace, setup_s)
         }
-        Workload::PaperSweep => {
-            let ((trace, facts), setup_s) = repeated_setup(
-                || {
-                    let (trace, ms) = inputs::bu94(args.seed);
-                    gen_ms.push(ms);
-                    let facts = sweep::Facts::new(&trace);
-                    Ok((trace, facts))
-                },
-                drop,
-            )?;
-            threads.sample();
-            if args.trace {
-                layers.sweep_phases(&trace, &facts, args.seconds, &mut report);
-            } else {
-                let stats = sweep::phase(&trace, &facts, args.seconds, &mut report.problems);
-                report.metric("req_per_s", stats.segments.rate(), "1/s");
-                report.metric("cpu_us_per_req", stats.segments.cpu_us_per_op(), "us");
-                report.metric("group_hit_pct", stats.ea_hit_pct(), "%");
-                report.health("segments", stats.segments.summary());
-                report.attempted += stats.cells;
-            }
-            report.health("input", facts.summary());
-            (trace, setup_s)
-        }
     };
     if args.trace {
         layers.complete(&trace, args.seed, &mut threads, &mut report)?;
@@ -274,14 +248,11 @@ fn run(args: &Args) -> io::Result<Report> {
             report.shed
         ));
     }
-    match std::env::var(PINNED_ENV) {
-        Ok(pin) => {
-            let (cpu, cpus) = pin.split_once('/').unwrap_or((&pin, "?"));
-            report.health("nproc", cpus);
-            report.health("pinned_to_cpu", cpu);
-        }
-        Err(_) => report.health("nproc", nproc()),
-    }
+    // Only the pinned child runs this far.
+    let pin = std::env::var(PINNED_ENV).unwrap_or_default();
+    let (cpu, cpus) = pin.split_once('/').unwrap_or((&pin, "?"));
+    report.health("nproc", cpus);
+    report.health("pinned_to_cpu", cpu);
     report.health(
         "host_ref_ms",
         format!(
@@ -336,31 +307,32 @@ fn first_allowed_cpu() -> Option<u32> {
 }
 
 /// Runs this benchmark again under `taskset` on one CPU and returns the
-/// child's exit code; `None` when this process is that child, or when it
-/// cannot be started (the benchmark then runs unpinned).
+/// child's exit code; `Ok(None)` when this process is that child. Failing
+/// to pin is an error: the bounds hold for pinned runs only.
 ///
 /// On a 2-vCPU virtual machine, threads that hand every request to each
 /// other across CPUs pay for a cross-CPU wake-up each time, and the
 /// scheduler's placement flips between runs: unpinned `group-live` runs
 /// read either about 10k or about 25k req/s, pinned runs 30k to 40k.
-fn run_pinned() -> Option<ExitCode> {
+fn run_pinned() -> io::Result<Option<ExitCode>> {
     if std::env::var_os(PINNED_ENV).is_some() {
-        return None;
+        return Ok(None);
     }
-    let cpu = first_allowed_cpu()?;
+    let cpu = first_allowed_cpu()
+        .ok_or_else(|| io::Error::other("cannot pin: no Cpus_allowed_list in /proc/self/status"))?;
     let status = Command::new("taskset")
         .arg("-c")
         .arg(cpu.to_string())
-        .arg(std::env::current_exe().ok()?)
+        .arg(std::env::current_exe()?)
         .args(std::env::args_os().skip(1))
         .env(PINNED_ENV, format!("{cpu}/{}", nproc()))
         .status()
-        .ok()?;
-    Some(match status.code() {
+        .map_err(|e| io::Error::other(format!("cannot pin with taskset: {e}")))?;
+    Ok(Some(match status.code() {
         Some(0) => ExitCode::SUCCESS,
         Some(code) => ExitCode::from(u8::try_from(code).unwrap_or(1)),
         None => ExitCode::FAILURE,
-    })
+    }))
 }
 
 fn main() -> ExitCode {
@@ -371,8 +343,13 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Some(code) = run_pinned() {
-        return code;
+    match run_pinned() {
+        Ok(Some(code)) => return code,
+        Ok(None) => {}
+        Err(e) => {
+            eprintln!("perfbench: {e}");
+            return ExitCode::FAILURE;
+        }
     }
     match run(&args) {
         Ok(report) => {

@@ -133,35 +133,44 @@ pub fn spread(values: &[f64]) -> Spread {
     }
 }
 
-/// Throughput and CPU cost of each segment of a phase (a group round,
-/// a second of pipelining, a simulator pass). A phase reports the
-/// medians, so a burst of interference from outside the process moves
-/// one segment, not the figure.
+/// Throughput and CPU cost of a phase, kept per segment (a group round,
+/// a second of pipelining). A phase reports whole-phase ratios: requests
+/// over the summed segment time, and CPU over the requests. On a shared
+/// virtual host the speed wanders between fast and slow stretches lasting
+/// seconds to minutes; a ratio of sums weighs each stretch by its time,
+/// while a median over segments jumps to whichever stretch held the
+/// majority, so runs spread more with the median.
 #[derive(Default)]
 pub struct Segments {
     rates: Vec<f64>,
-    cpu_us: Vec<f64>,
+    ops: u64,
+    wall_s: f64,
+    cpu_s: f64,
 }
 
 impl Segments {
     pub fn push(&mut self, ops: u64, wall_s: f64, cpu_s: f64) {
         self.rates.push(ops as f64 / wall_s);
-        self.cpu_us.push(1e6 * cpu_s / ops.max(1) as f64);
+        self.ops += ops;
+        self.wall_s += wall_s;
+        self.cpu_s += cpu_s;
     }
 
-    /// Median operations per second.
+    /// Operations per second of the timed segments.
     pub fn rate(&self) -> f64 {
-        spread(&self.rates).median
+        self.ops as f64 / self.wall_s
     }
 
-    /// Median process CPU microseconds per operation.
+    /// Process CPU microseconds per operation.
     pub fn cpu_us_per_op(&self) -> f64 {
-        spread(&self.cpu_us).median
+        1e6 * self.cpu_s / self.ops.max(1) as f64
     }
 
     pub fn merge(&mut self, other: &Segments) {
         self.rates.extend_from_slice(&other.rates);
-        self.cpu_us.extend_from_slice(&other.cpu_us);
+        self.ops += other.ops;
+        self.wall_s += other.wall_s;
+        self.cpu_s += other.cpu_s;
     }
 
     /// Segment count and the range of their rates, for the health lines.

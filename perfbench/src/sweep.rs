@@ -1,18 +1,18 @@
-//! `paper-sweep`: the in-process path behind every paper table.
+//! The simulator probe of every traced run: the in-process path behind
+//! every paper table.
 //!
 //! One pass runs `sim::run` over the Figure 1 grid (five aggregate
 //! capacities × ad-hoc and EA, 4 caches) and `sim::run_des` over the
 //! `des_latency` grid (four capacities × both schemes) on the full
-//! BU-94-scale trace. Passes repeat until the run has lasted its seconds.
+//! BU-94-scale trace.
 
 use crate::inputs::{distinct_docs, unique_bytes};
-use crate::measure::{cpu_seconds, Segments};
 use coopcache_core::PlacementScheme;
 use coopcache_metrics::GroupMetrics;
 use coopcache_sim::{run, run_des, NetworkModel, SimConfig, PAPER_CACHE_SIZES};
 use coopcache_trace::Trace;
 use coopcache_types::ByteSize;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const GROUP: u16 = 4;
 const SCHEMES: [PlacementScheme; 2] = [PlacementScheme::AdHoc, PlacementScheme::Ea];
@@ -25,7 +25,6 @@ const DES_SIZES: [ByteSize; 4] = [
 
 /// What the checks need to know about the trace, computed from it here.
 pub struct Facts {
-    requests: u64,
     distinct: u64,
     unique_bytes: ByteSize,
 }
@@ -33,87 +32,41 @@ pub struct Facts {
 impl Facts {
     pub fn new(trace: &Trace) -> Self {
         Self {
-            requests: trace.len() as u64,
             distinct: distinct_docs(trace.requests()) as u64,
             unique_bytes: unique_bytes(trace.requests()),
         }
     }
-
-    pub fn summary(&self) -> String {
-        format!(
-            "{} requests, {} distinct documents, {} unique bytes",
-            self.requests,
-            self.distinct,
-            self.unique_bytes.as_bytes()
-        )
-    }
 }
 
-/// Sums over the passes of one phase.
-#[derive(Default)]
+/// What one pass over both grids did and how long each half took.
 pub struct SweepStats {
     pub cells: u64,
     pub sync_requests: u64,
     pub des_requests: u64,
     pub sync_s: f64,
     pub des_s: f64,
-    /// One segment per pass, counting simulated requests.
-    pub segments: Segments,
-    /// Per-pass wall times of the two halves, for the per-layer rows.
-    pub sync_pass_s: Vec<f64>,
-    pub des_pass_s: Vec<f64>,
-    ea_hits: u64,
-    ea_requests: u64,
-    /// Spans the benchmark recorded around its calls (traced only).
-    pub bench_spans: u64,
-}
-
-impl SweepStats {
-    /// Group hit rate over every EA cell, weighted by requests.
-    pub fn ea_hit_pct(&self) -> f64 {
-        100.0 * self.ea_hits as f64 / self.ea_requests.max(1) as f64
-    }
-
-    fn tally(&mut self, scheme: PlacementScheme, m: &GroupMetrics) {
-        if scheme == PlacementScheme::Ea {
-            self.ea_hits += m.local_hits + m.remote_hits;
-            self.ea_requests += m.requests;
-        }
-    }
 }
 
 fn check_counts(cell: &str, m: &GroupMetrics, len: u64, problems: &mut Vec<String>) {
     let sum = m.local_hits + m.remote_hits + m.misses;
     if m.requests != len || sum != len {
         problems.push(format!(
-            "paper-sweep {cell}: {} requests, hits + misses = {sum}, trace has {len}",
+            "sim {cell}: {} requests, hits + misses = {sum}, trace has {len}",
             m.requests
         ));
     }
 }
 
 /// One pass over both grids.
-pub fn pass(
-    trace: &Trace,
-    facts: &Facts,
-    traced: bool,
-    stats: &mut SweepStats,
-    problems: &mut Vec<String>,
-) {
+pub fn pass(trace: &Trace, facts: &Facts, problems: &mut Vec<String>) -> SweepStats {
     let len = trace.len() as u64;
-    let mut spans: Vec<(Instant, Instant)> = Vec::new();
-    let cpu0 = cpu_seconds();
     let sync_started = Instant::now();
     for aggregate in PAPER_CACHE_SIZES {
         for scheme in SCHEMES {
             let cfg = SimConfig::new(aggregate)
                 .with_group_size(GROUP)
                 .with_scheme(scheme);
-            let called = Instant::now();
             let report = run(&cfg, trace);
-            if traced {
-                spans.push((called, Instant::now()));
-            }
             let cell = format!("sync {aggregate} {scheme}");
             check_counts(&cell, &report.metrics, len, problems);
             // With room for every distinct document in every cache,
@@ -122,20 +75,17 @@ pub fn pass(
             if aggregate == ByteSize::from_gb(1) {
                 if cfg.per_cache_capacity() < facts.unique_bytes {
                     problems.push(format!(
-                        "paper-sweep {cell}: a cache holds {} bytes, less than the trace's {} unique bytes",
+                        "sim {cell}: a cache holds {} bytes, less than the trace's {} unique bytes",
                         cfg.per_cache_capacity().as_bytes(),
                         facts.unique_bytes.as_bytes()
                     ));
                 } else if report.metrics.misses != facts.distinct {
                     problems.push(format!(
-                        "paper-sweep {cell}: {} misses with no eviction possible, trace has {} distinct documents",
+                        "sim {cell}: {} misses with no eviction possible, trace has {} distinct documents",
                         report.metrics.misses, facts.distinct
                     ));
                 }
             }
-            stats.tally(scheme, &report.metrics);
-            stats.sync_requests += len;
-            stats.cells += 1;
         }
     }
     let sync_s = sync_started.elapsed().as_secs_f64();
@@ -146,46 +96,25 @@ pub fn pass(
             let cfg = SimConfig::new(aggregate)
                 .with_group_size(GROUP)
                 .with_scheme(scheme);
-            let called = Instant::now();
             let report = run_des(&cfg, &network, trace);
-            if traced {
-                spans.push((called, Instant::now()));
-            }
             let cell = format!("des {aggregate} {scheme}");
             check_counts(&cell, &report.metrics, len, problems);
             if report.p50_latency_ms < network.local_service.as_millis() {
                 problems.push(format!(
-                    "paper-sweep {cell}: p50 {} ms is below the local service time {} ms",
+                    "sim {cell}: p50 {} ms is below the local service time {} ms",
                     report.p50_latency_ms,
                     network.local_service.as_millis()
                 ));
             }
-            stats.tally(scheme, &report.metrics);
-            stats.des_requests += len;
-            stats.cells += 1;
         }
     }
     let des_s = des_started.elapsed().as_secs_f64();
-    stats.segments.push(
-        (PAPER_CACHE_SIZES.len() + DES_SIZES.len()) as u64 * SCHEMES.len() as u64 * len,
-        sync_s + des_s,
-        cpu_seconds() - cpu0,
-    );
-    stats.sync_s += sync_s;
-    stats.des_s += des_s;
-    stats.sync_pass_s.push(sync_s);
-    stats.des_pass_s.push(des_s);
-    stats.bench_spans += spans.len() as u64;
-}
-
-/// Untraced passes until `seconds` have passed (at least one).
-pub fn phase(trace: &Trace, facts: &Facts, seconds: f64, problems: &mut Vec<String>) -> SweepStats {
-    let mut stats = SweepStats::default();
-    let started = Instant::now();
-    loop {
-        pass(trace, facts, false, &mut stats, problems);
-        if started.elapsed() >= Duration::from_secs_f64(seconds) {
-            return stats;
-        }
+    let cells = |sizes: usize| (sizes * SCHEMES.len()) as u64;
+    SweepStats {
+        cells: cells(PAPER_CACHE_SIZES.len() + DES_SIZES.len()),
+        sync_requests: cells(PAPER_CACHE_SIZES.len()) * len,
+        des_requests: cells(DES_SIZES.len()) * len,
+        sync_s,
+        des_s,
     }
 }

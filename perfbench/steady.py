@@ -58,7 +58,7 @@ def main():
         share = (q3 - q1) / med if med else 0.0
         bound = bounds.get(name)
         mark = ""
-        if bound is not None and name != "setup_s":
+        if bound is not None:
             mark = "FAIL" if share > bound else ("!" if share > bound / 3 else "")
         print(f"{name:34} {unit:>6} {med:14.6g} {q1:14.6g} {q3:14.6g} "
               f"{100 * share:7.2f}% {'' if bound is None else bound:>6} {mark}")
